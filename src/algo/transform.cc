@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
 #include "algo/bfs_engine.h"
 #include "algo/connectivity.h"
+#include "graph/undirected_fill.h"
 #include "storage/flat_hash_map.h"
 #include "util/rng.h"
 
@@ -63,10 +65,17 @@ DirectedGraph Reverse(const DirectedGraph& g) {
 UndirectedGraph ToUndirected(const DirectedGraph& g) {
   UndirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
-    out.AddNode(id);
-  });
-  g.ForEachEdge([&](NodeId u, NodeId v) { out.AddEdge(u, v); });
+  const std::vector<NodeId> ids = g.NodeIds();
+  for (NodeId id : ids) out.AddNode(id);
+  // Neighbours of u = dedup(out(u) ∪ in(u)), merged per node.
+  FillUndirectedFromRuns(
+      ids,
+      [&](NodeId id) {
+        const DirectedGraph::NodeData* nd = g.GetNode(id);
+        return std::pair(std::span<const NodeId>(nd->out),
+                         std::span<const NodeId>(nd->in));
+      },
+      &out);
   return out;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
+#include <span>
 
+#include "graph/undirected_fill.h"
 #include "util/parallel.h"
 #include "util/radix_sort.h"
 #include "util/trace.h"
@@ -207,46 +210,17 @@ Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
   g.ReserveNodes(nn);
   for (NodeId id : sp.nodes) g.AddNode(id);
 
-  auto* table = &g.mutable_node_table();
-  std::vector<int64_t> half_edges(nn, 0);
-  std::vector<int64_t> self_loops(nn, 0);
-  ParallelForDynamic(0, nn, [&](int64_t i) {
-    const NodeId id = sp.nodes[i];
-    UndirectedGraph::NodeData* nd = table->Find(id);
-    const auto [olo, ohi] = SortedPairs::Run(sp.fwd, id);
-    const auto [ilo, ihi] = SortedPairs::Run(sp.rev, id);
-    nd->nbrs.clear();
-    nd->nbrs.reserve((ohi - olo) + (ihi - ilo));
-    int64_t a = olo, b = ilo;
-    NodeId last = INT64_MIN;
-    auto push = [&](NodeId v) {
-      if (nd->nbrs.empty() || last != v) {
-        nd->nbrs.push_back(v);
-        last = v;
-      }
-    };
-    while (a < ohi || b < ihi) {
-      if (a < ohi && (b >= ihi || sp.fwd[a].second <= sp.rev[b].second)) {
-        push(sp.fwd[a].second);
-        ++a;
-      } else {
-        push(sp.rev[b].second);
-        ++b;
-      }
-    }
-    for (NodeId v : nd->nbrs) {
-      if (v == id) ++self_loops[i];
-      ++half_edges[i];
-    }
-  });
-  // Each undirected edge {u,v}, u != v, appears in two adjacency vectors; a
-  // self-loop appears once.
-  int64_t half = 0, loops = 0;
-  for (int64_t i = 0; i < nn; ++i) {
-    half += half_edges[i];
-    loops += self_loops[i];
-  }
-  g.BumpEdgeCount((half - loops) / 2 + loops);
+  auto run_values = [](const std::vector<Edge>& pairs, NodeId id) {
+    const auto [lo, hi] = SortedPairs::Run(pairs, id);
+    return std::span<const Edge>(pairs.data() + lo, hi - lo) |
+           std::views::values;
+  };
+  FillUndirectedFromRuns(
+      sp.nodes,
+      [&](NodeId id) {
+        return std::pair(run_values(sp.fwd, id), run_values(sp.rev, id));
+      },
+      &g);
   return g;
 }
 

@@ -1,8 +1,8 @@
 // Order-preserving key normalization: maps table column values onto
 // uint64 keys whose unsigned order equals RowComparator's order, so the
-// sort-driven operators (OrderBy, GroupBy, Unique, NextK, TopK, set ops)
-// can run the radix kernel (util/radix_sort.h) instead of an indirect
-// comparison per element.
+// sort-driven operators (OrderBy, GroupBy, Unique, NextK, set ops) can run
+// the radix kernel (util/radix_sort.h), and TopK a bounded selection,
+// instead of an indirect comparison per element.
 //
 // Normalization rules (DESIGN.md "Sort kernels"):
 //   * int64  → sign-bit flip (radix::Int64Key);

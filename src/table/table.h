@@ -243,7 +243,7 @@ class Table {
 
   // The k extreme rows by one column (descending by default — "top"), in
   // sorted order with position tiebreaks. Equivalent to OrderBy + Head but
-  // uses a partial sort: O(n log k) instead of O(n log n).
+  // selects before sorting: O(n + k log k) instead of O(n log n).
   Result<TablePtr> TopK(std::string_view col, int64_t k,
                         bool ascending = false) const;
 

@@ -9,6 +9,7 @@
 #include "table/row_compare.h"
 #include "table/table.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -27,21 +28,49 @@ Result<TablePtr> Table::TopK(std::string_view col, int64_t k,
     return Status::InvalidArgument("TopK requires k >= 0");
   }
   RINGO_ASSIGN_OR_RETURN(const int ci, schema_.FindColumn(col));
-  const std::vector<int> cols{ci};
   const int64_t take = std::min(k, num_rows_);
   trace::Span span("Table/TopK");
   span.AddAttr("rows", num_rows_);
   span.AddAttr("k", take);
-  // Radix path: full distribution sort of (key, row) pairs, then keep the
-  // first `take` — a handful of linear passes beats the O(n log k) heap
-  // partial sort well before n reaches table sizes that matter.
-  std::vector<int64_t> perm;
-  if (internal::SortedPermByKeys(*this, cols, {ascending}, &perm)) {
-    perm.resize(take);
+  // Bounded selection over the normalized keys: each part keeps its best
+  // `take` (key, row) records, then the candidates are cut to `take` and
+  // sorted. (key, row) is a total order, so ties break by row exactly as
+  // the stable radix sort and the comparison fallback below do.
+  if (radix::Enabled()) {
+    std::vector<uint64_t> keys(num_rows_);
+    internal::NormalizedColumnKeys(*this, ci, ascending, keys.data());
+    const auto before = [](const KeyRow& a, const KeyRow& b) {
+      return a.key != b.key ? a.key < b.key : a.row < b.row;
+    };
+    // Keeps the `take` smallest records of *v, unordered.
+    const auto keep_best = [&](std::vector<KeyRow>* v) {
+      if (static_cast<int64_t>(v->size()) <= take) return;
+      std::nth_element(v->begin(), v->begin() + take, v->end(), before);
+      v->resize(take);
+    };
+    const int parts = NumThreads();
+    const std::vector<int64_t> bounds = PartitionRange(num_rows_, parts);
+    std::vector<std::vector<KeyRow>> best(parts);
+    ParallelFor(0, parts, [&](int64_t p) {
+      best[p].reserve(bounds[p + 1] - bounds[p]);
+      for (int64_t r = bounds[p]; r < bounds[p + 1]; ++r) {
+        best[p].push_back({keys[r], r});
+      }
+      keep_best(&best[p]);
+    });
+    std::vector<KeyRow> cand = std::move(best[0]);
+    for (int p = 1; p < parts; ++p) {
+      cand.insert(cand.end(), best[p].begin(), best[p].end());
+    }
+    keep_best(&cand);
+    ParallelSort(cand.begin(), cand.end(), before);
+    std::vector<int64_t> perm(cand.size());
+    for (size_t i = 0; i < cand.size(); ++i) perm[i] = cand[i].row;
     return GatherRows(perm);
   }
+  const std::vector<int> cols{ci};
   RowComparator cmp(this, this, cols, cols, {ascending});
-  perm.resize(num_rows_);
+  std::vector<int64_t> perm(num_rows_);
   std::iota(perm.begin(), perm.end(), 0);
   auto less = [&](int64_t a, int64_t b) {
     const int c = cmp.Compare(a, b);

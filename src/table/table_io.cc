@@ -1,14 +1,15 @@
 #include "table/table_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
+#include "storage/flat_hash_map.h"
 #include "storage/mmap_file.h"
 #include "util/checksum.h"
 #include "util/metrics.h"
@@ -20,114 +21,217 @@ namespace ringo {
 
 namespace {
 
-// Splits `text` into line views, skipping comments/blank lines. When
-// `has_header`, the header is the first non-blank line — even a
-// '#'-prefixed one (the common "# col1<TAB>col2" TSV export format) — and
-// is consumed before comment-skipping applies. Skipping comments first
-// used to silently promote the first data row to header and drop it.
-std::vector<std::string_view> DataLines(std::string_view text,
-                                        bool has_header) {
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  bool header_pending = has_header;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (header_pending) {
-      header_pending = false;  // Consumed, commented or not.
-      continue;
-    }
-    if (line.front() == '#') continue;
-    lines.push_back(line);
-  }
-  return lines;
-}
+// One newline-aligned byte range of the TSV body, parsed by one task with
+// no shared state: cells land in per-column 8-byte words (int64 values,
+// double bit patterns, or chunk-local string codes), and string cells
+// intern into a chunk-local dictionary.
+struct TsvChunk {
+  size_t begin = 0, end = 0;
+  int64_t newlines = 0;  // Lines consumed before the first error, if any.
+  int64_t rows = 0;
+  std::vector<std::vector<uint64_t>> cells;  // [column][row]
+  // The chunk's distinct strings, all string columns together, in
+  // row-major first-occurrence order (code = index), and the lookup from
+  // bytes to code. The views point into the mapped file. One dictionary
+  // for all columns keeps the merged pool order independent of where the
+  // chunks are cut.
+  std::vector<std::string_view> dict;
+  FlatHashMap<std::string_view, uint32_t> dict_index;
+  // First error in the chunk, on the line `newlines` lines past its start;
+  // error_col is the offending column, or -1 for a wrong field count.
+  Status error;
+  int error_col = -1;
+};
 
-Status ParseLine(const Schema& schema, std::string_view line, int64_t lineno,
-                 StringPool* pool, std::vector<Column>* cols) {
-  const std::vector<std::string_view> fields = SplitFields(line, '\t');
-  if (static_cast<int>(fields.size()) != schema.num_columns()) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(lineno) + ": expected " +
-        std::to_string(schema.num_columns()) + " fields, got " +
-        std::to_string(fields.size()));
-  }
-  for (int c = 0; c < schema.num_columns(); ++c) {
+// Parses one non-blank, non-comment line into `ch`. Fields are found by
+// scanning tab positions in place; an error leaves the chunk's columns
+// ragged, which is fine because the load then fails.
+Status ParseTsvLine(const Schema& schema, std::string_view line,
+                    TsvChunk* ch) {
+  const int ncols = schema.num_columns();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (int c = 0; c < ncols; ++c) {
+    const char* stop = static_cast<const char*>(
+        std::memchr(p, '\t', static_cast<size_t>(end - p)));
+    if ((stop == nullptr) != (c + 1 == ncols)) {
+      return Status::InvalidArgument(
+          "expected " + std::to_string(ncols) + " fields, got " +
+          std::to_string(1 + std::count(line.begin(), line.end(), '\t')));
+    }
+    if (stop == nullptr) stop = end;
+    const std::string_view field(p, static_cast<size_t>(stop - p));
+    p = stop + 1;
+    uint64_t word = 0;
     switch (schema.column(c).type) {
       case ColumnType::kInt: {
-        RINGO_ASSIGN_OR_RETURN(const int64_t v, ParseInt64(fields[c]));
-        (*cols)[c].AppendInt(v);
+        const Result<int64_t> v = ParseInt64(field);
+        if (!v.ok()) {
+          ch->error_col = c;
+          return v.status();
+        }
+        word = static_cast<uint64_t>(*v);
         break;
       }
       case ColumnType::kFloat: {
-        RINGO_ASSIGN_OR_RETURN(const double v, ParseDouble(fields[c]));
-        (*cols)[c].AppendFloat(v);
+        const Result<double> v = ParseDouble(field);
+        if (!v.ok()) {
+          ch->error_col = c;
+          return v.status();
+        }
+        word = std::bit_cast<uint64_t>(*v);
         break;
       }
-      case ColumnType::kString:
-        (*cols)[c].AppendStr(pool->GetOrAdd(fields[c]));
+      case ColumnType::kString: {
+        const auto [code, fresh] = ch->dict_index.Insert(
+            field, static_cast<uint32_t>(ch->dict.size()));
+        if (fresh) ch->dict.push_back(field);
+        word = *code;
         break;
+      }
     }
+    ch->cells[c].push_back(word);
   }
+  ++ch->rows;
   return Status::OK();
+}
+
+// Parses the lines of `text` in [ch->begin, ch->end), skipping blank and
+// '#' lines, and stops at the first error.
+void ParseTsvChunk(const Schema& schema, std::string_view text,
+                   TsvChunk* ch) {
+  const int ncols = schema.num_columns();
+  ch->cells.resize(ncols);
+  const std::string_view upto = text.substr(0, ch->end);
+  size_t pos = ch->begin;
+  while (pos < ch->end) {
+    const size_t nl = std::min(upto.find('\n', pos), ch->end);
+    std::string_view line = upto.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty() && line.front() != '#') {
+      ch->error = ParseTsvLine(schema, line, ch);
+      if (!ch->error.ok()) return;
+    }
+    ++ch->newlines;
+  }
 }
 
 }  // namespace
 
+// Chunk-parallel load without locks (DESIGN.md §14, "TSV loading"): map
+// the file, consume the header serially, cut the body into
+// newline-aligned chunks, parse each into chunk-local columns and
+// dictionaries, intern the dictionaries into the shared pool in file
+// order, then scatter every chunk into its row range of the table.
 Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
                               std::shared_ptr<StringPool> pool,
                               bool has_header) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::vector<std::string_view> lines = DataLines(text, has_header);
-  const int64_t n = static_cast<int64_t>(lines.size());
+  trace::Span span("LoadTableTSV");
+  RINGO_ASSIGN_OR_RETURN(const std::shared_ptr<const MmapFile> map,
+                         MmapFile::Open(path));
+  const std::string_view text(reinterpret_cast<const char*>(map->data()),
+                              map->size());
 
+  // Header: the first non-blank line, commented or not — it is consumed
+  // before comment-skipping applies, so a "# col1<TAB>col2" header never
+  // promotes the first data row to header.
+  size_t body = 0;
+  int64_t body_line = 1;  // 1-based file line that starts at text[body].
+  while (has_header && body < text.size()) {
+    const size_t nl = std::min(text.find('\n', body), text.size());
+    std::string_view line = text.substr(body, nl - body);
+    body = std::min(nl + 1, text.size());
+    ++body_line;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) break;
+  }
+
+  // About four chunks per thread, each ending just after a '\n' (or at
+  // end of file), so every line lies in exactly one chunk.
+  const size_t target = static_cast<size_t>(4 * NumThreads());
+  const size_t step =
+      std::max<size_t>(1, (text.size() - body + target - 1) / target);
+  std::vector<TsvChunk> chunks;
+  for (size_t b = body; b < text.size();) {
+    const size_t e =
+        b + step >= text.size()
+            ? text.size()
+            : std::min(text.find('\n', b + step - 1), text.size() - 1) + 1;
+    chunks.emplace_back();
+    chunks.back().begin = b;
+    chunks.back().end = e;
+    b = e;
+  }
+  const int64_t nchunks = static_cast<int64_t>(chunks.size());
+  {
+    RINGO_TRACE_SPAN("LoadTableTSV/parse");
+    ParallelFor(0, nchunks, [&](int64_t k) {
+      ParseTsvChunk(schema, text, &chunks[k]);
+    });
+  }
+
+  // Merge, in file order. The first failing chunk holds the earliest
+  // error; the chunks before it parsed fully, so their newline counts
+  // give its file line. Interning chunk by chunk assigns pool ids in
+  // first-occurrence order, whatever the thread count.
   TablePtr table = Table::Create(schema, std::move(pool));
   StringPool* out_pool = table->pool().get();
-
-  // Chunk-parallel parse into per-thread column fragments.
-  const int threads = NumThreads();
-  const std::vector<int64_t> bounds = PartitionRange(n, threads);
-  std::vector<std::vector<Column>> frag(threads);
-  std::vector<Status> frag_status(threads);
-#pragma omp parallel num_threads(threads)
+  const int ncols = schema.num_columns();
+  std::vector<int64_t> row_base(nchunks + 1, 0);
+  // remap[k][code]: pool id of chunk k's local string code.
+  std::vector<std::vector<StringPool::Id>> remap(nchunks);
   {
-    const int t = omp_get_thread_num();
-    if (t < threads) {
-      std::vector<Column>& cols = frag[t];
-      for (int c = 0; c < schema.num_columns(); ++c) {
-        cols.emplace_back(schema.column(c).type);
-        cols.back().Reserve(bounds[t + 1] - bounds[t]);
-      }
-      for (int64_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-        Status st = ParseLine(schema, lines[i], i + 1, out_pool, &cols);
-        if (!st.ok()) {
-          frag_status[t] = std::move(st);
-          break;
+    RINGO_TRACE_SPAN("LoadTableTSV/merge");
+    int64_t line = body_line;
+    for (int64_t k = 0; k < nchunks; ++k) {
+      const TsvChunk& ch = chunks[k];
+      line += ch.newlines;
+      if (!ch.error.ok()) {
+        std::string where = "line " + std::to_string(line);
+        if (ch.error_col >= 0) {
+          where += ", column '" + schema.column(ch.error_col).name + "'";
         }
+        return Status::InvalidArgument(where + ": " + ch.error.message());
+      }
+      row_base[k + 1] = row_base[k] + ch.rows;
+      remap[k].reserve(ch.dict.size());
+      for (std::string_view s : ch.dict) {
+        remap[k].push_back(out_pool->GetOrAdd(s));
       }
     }
   }
-  for (const Status& st : frag_status) {
-    RINGO_RETURN_NOT_OK(st);
-  }
-  // Reserve final capacity up front so the fragment merge appends without
-  // reallocation (n is exact: every fragment row survives or we returned).
-  table->ReserveRows(n);
-  for (int t = 0; t < threads; ++t) {
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      table->mutable_column(c).AppendColumn(frag[t][c]);
+
+  // Scatter column by column, releasing each chunk's words as they are
+  // copied, so the load holds at most one column twice.
+  const int64_t n = row_base[nchunks];
+  {
+    RINGO_TRACE_SPAN("LoadTableTSV/scatter");
+    for (int c = 0; c < ncols; ++c) {
+      Column& col = table->mutable_column(c);
+      col.Resize(n);
+      const ColumnType type = col.type();
+      void* const dst = type == ColumnType::kInt
+                            ? static_cast<void*>(col.ints().data())
+                        : type == ColumnType::kFloat
+                            ? static_cast<void*>(col.floats().data())
+                            : static_cast<void*>(col.strs().data());
+      ParallelFor(0, nchunks, [&](int64_t k) {
+        std::vector<uint64_t>& src = chunks[k].cells[c];
+        if (type == ColumnType::kString) {
+          StringPool::Id* out =
+              static_cast<StringPool::Id*>(dst) + row_base[k];
+          const std::vector<StringPool::Id>& ids = remap[k];
+          for (size_t r = 0; r < src.size(); ++r) out[r] = ids[src[r]];
+        } else if (!src.empty()) {
+          std::memcpy(static_cast<uint64_t*>(dst) + row_base[k], src.data(),
+                      src.size() * sizeof(uint64_t));
+        }
+        std::vector<uint64_t>().swap(src);
+      });
     }
   }
+  span.AddAttr("rows", n);
   RINGO_RETURN_NOT_OK(table->SealAppendedRows(n));
   return table;
 }

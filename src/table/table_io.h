@@ -20,7 +20,10 @@ namespace ringo {
 // first non-blank line is consumed as the header — even when it is
 // '#'-prefixed (the "# col1<TAB>col2" commented-header export format), so
 // the first data row is never mistaken for a header. Parsing is
-// chunk-parallel.
+// chunk-parallel and takes no locks; the table and its string ids (in
+// first-occurrence order) are the same at every thread count. A malformed
+// line fails with InvalidArgument naming its 1-based file line and, for a
+// bad number, the column.
 Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
                               std::shared_ptr<StringPool> pool = nullptr,
                               bool has_header = false);

@@ -4,6 +4,7 @@
 
 #include "algo/connectivity.h"
 #include "test_support.h"
+#include "util/parallel.h"
 
 namespace ringo {
 namespace {
@@ -47,6 +48,36 @@ TEST(ToUndirectedTest, ReciprocalEdgesCollapse) {
   const UndirectedGraph u = ToUndirected(g);
   EXPECT_EQ(u.NumEdges(), 2);
   EXPECT_TRUE(u.HasEdge(1, 2));
+}
+
+// ToUndirected merges each node's out- and in-lists; the reference is the
+// edge-by-edge build through AddEdge. Covers self-loops, reciprocal pairs
+// and isolated nodes, at several thread counts.
+TEST(ToUndirectedTest, MatchesEdgeByEdgeBuild) {
+  for (const uint64_t seed : {3u, 77u, 2024u}) {
+    DirectedGraph g = testing::RandomDirected(400, 3000, seed);
+    for (NodeId u = 0; u < 40; ++u) {
+      g.AddEdge(u, u);  // Self-loops.
+      g.AddEdge(u, (u * 7 + 1) % 400);  // Reciprocal pairs.
+      g.AddEdge((u * 7 + 1) % 400, u);
+    }
+    for (NodeId id = 5000; id < 5010; ++id) g.AddNode(id);  // Isolated.
+    UndirectedGraph want;
+    g.ForEachNode(
+        [&](NodeId id, const DirectedGraph::NodeData&) { want.AddNode(id); });
+    g.ForEachEdge([&](NodeId u, NodeId v) { want.AddEdge(u, v); });
+    for (int threads : {1, 2, 4}) {
+      const int prev = NumThreads();
+      SetNumThreads(threads);
+      const UndirectedGraph got = ToUndirected(g);
+      SetNumThreads(prev);
+      EXPECT_EQ(got.NumNodes(), want.NumNodes());
+      EXPECT_EQ(got.NumEdges(), want.NumEdges());
+      EXPECT_TRUE(got.SameStructure(want))
+          << "seed=" << seed << " threads=" << threads;
+      EXPECT_EQ(got.Degree(5003), 0);
+    }
+  }
 }
 
 TEST(ToDirectedTest, EveryEdgeBothWays) {

@@ -2,6 +2,8 @@
 
 #include "table/table.h"
 #include "test_support.h"
+#include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 
 namespace ringo {
@@ -50,6 +52,51 @@ TEST(TopKTest, MatchesOrderByHead) {
   EXPECT_TRUE((*topk)->ContentEquals(*ref_head));
   // Ties broken by position: row ids must match too.
   EXPECT_EQ((*topk)->row_ids(), ref_head->row_ids());
+}
+
+// Heavy key ties over every column type: the bounded selection must equal
+// both the stable full sort (OrderBy + Head) and the comparison fallback
+// (radix disabled), row ids included, for k = 0, small k, k >= n and both
+// directions, at several thread counts.
+TEST(TopKTest, TiesBreakByRowLikeFullSortAndFallback) {
+  Schema schema{{"i", ColumnType::kInt},
+                {"f", ColumnType::kFloat},
+                {"s", ColumnType::kString}};
+  TablePtr t = Table::Create(schema);
+  const std::vector<std::string> vocab = {"b", "a", "c"};
+  Rng rng(11);
+  for (int r = 0; r < 30000; ++r) {
+    RINGO_CHECK_OK(t->AppendRow({rng.UniformInt(0, 6),
+                                 static_cast<double>(rng.UniformInt(-2, 2)),
+                                 vocab[rng.UniformInt(0, 2)]}));
+  }
+  for (const std::string col : {"i", "f", "s"}) {
+    for (const bool asc : {true, false}) {
+      auto full = t->OrderBy({col}, {asc});
+      ASSERT_TRUE(full.ok());
+      for (const int64_t k : {int64_t{0}, int64_t{1}, int64_t{37},
+                              int64_t{5000}, int64_t{30000}, int64_t{40000}}) {
+        const TablePtr want = (*full)->Head(k);
+        for (int threads : {1, 4}) {
+          const int prev = NumThreads();
+          SetNumThreads(threads);
+          auto fast = t->TopK(col, k, asc);
+          radix::SetEnabled(false);
+          auto slow = t->TopK(col, k, asc);
+          radix::SetEnabled(true);
+          SetNumThreads(prev);
+          ASSERT_TRUE(fast.ok());
+          ASSERT_TRUE(slow.ok());
+          const std::string where = col + (asc ? " asc" : " desc") +
+                                    " k=" + std::to_string(k) +
+                                    " threads=" + std::to_string(threads);
+          EXPECT_EQ((*fast)->row_ids(), want->row_ids()) << where;
+          EXPECT_EQ((*slow)->row_ids(), want->row_ids()) << where;
+          EXPECT_TRUE((*fast)->ContentEquals(*want)) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(TopKTest, Validation) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "stress/stress_support.h"
+
 namespace ringo {
 namespace {
 
@@ -177,6 +179,66 @@ TEST_F(TableIoTest, LargeFileParsesCompletely) {
   ASSERT_EQ((*t)->NumRows(), 20000);
   EXPECT_EQ((*t)->column(0).GetInt(19999), 19999);
   EXPECT_EQ((*t)->pool()->size(), 7);
+}
+
+// Errors name the 1-based FILE line — header, comments and blank lines
+// included — and the column whose cell failed to parse.
+TEST_F(TableIoTest, ErrorNamesFileLineAndColumn) {
+  Schema schema{{"id", ColumnType::kInt}, {"w", ColumnType::kFloat}};
+  const std::string bad_int = TempFile("bad_int.tsv",
+                                       "id\tw\n"
+                                       "# comment\n"
+                                       "\n"
+                                       "1\t0.5\n"
+                                       "# another\r\n"
+                                       "x7\t1.0\n"
+                                       "3\t2.5\n");
+  Status st = LoadTableTSV(schema, bad_int, nullptr, true).status();
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 6, column 'id': cannot parse integer: 'x7'");
+
+  const std::string bad_float =
+      TempFile("bad_float.tsv", "\n# id\tw\n1\t0.5\n2\tnope\n");
+  st = LoadTableTSV(schema, bad_float, nullptr, true).status();
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 4, column 'w': cannot parse float: 'nope'");
+
+  const std::string bad_arity =
+      TempFile("bad_arity.tsv", "id\tw\r\n1\t0.5\r\n# c\r\n2\r\n");
+  st = LoadTableTSV(schema, bad_arity, nullptr, true).status();
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 4: expected 2 fields, got 1");
+
+  const std::string extra = TempFile("extra.tsv", "1\t0.5\t9");
+  st = LoadTableTSV(schema, extra).status();
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 1: expected 2 fields, got 3");
+}
+
+// With two bad lines far apart (in different, non-first chunks at any
+// thread count) the earlier one is reported, however the chunks finish,
+// and its line number counts the lines of every chunk before it.
+TEST_F(TableIoTest, ReportsEarliestOfTwoBadLinesAtEveryThreadCount) {
+  std::string content = "# id\ttag\n";
+  for (int i = 0; i < 20000; ++i) {
+    if (i == 12000) {
+      content += "oops\tt\n";  // File line 12002.
+    } else if (i == 17000) {
+      content += "1\n";  // File line 17002.
+    } else {
+      content += std::to_string(i) + "\tt" + std::to_string(i % 5) + "\n";
+    }
+  }
+  const std::string path = TempFile("two_bad.tsv", content);
+  Schema schema{{"id", ColumnType::kInt}, {"tag", ColumnType::kString}};
+  for (int threads : {1, 4}) {
+    testing::ScopedNumThreads scoped(threads);
+    const Status st = LoadTableTSV(schema, path, nullptr, true).status();
+    ASSERT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_EQ(st.message(),
+              "line 12002, column 'id': cannot parse integer: 'oops'")
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
